@@ -1,34 +1,46 @@
 //! Parallel, sharded protocol enumeration with a streaming merge.
 //!
-//! [`enumerate_sharded`] produces the same universe as the sequential
-//! reference [`enumerate`](crate::enumerate::enumerate) — byte-identical
-//! [`CompId`](crate::CompId) ordering, event ids and payload table — but
-//! splits the work in three phases:
+//! A system is a prefix-closed set of computations, and every computation
+//! extends the null one. The engine has one code path for that idea:
+//! [`extend_sharded`] resumes a checkpointed [`Frontier`] below its leaf
+//! cut, and [`enumerate_sharded`] is the same path run on the depth-0
+//! root frontier, whose cut is the null computation alone. Either way the
+//! universe is byte-identical to the sequential reference
+//! [`enumerate`](crate::enumerate::enumerate) at the run's horizon — same
+//! [`CompId`](crate::CompId) ordering, event ids and payload table.
 //!
-//! 1. **Prefix expansion** (coordinator): the protocol tree is explored
-//!    sequentially down to a split depth, emitting compact pre-order node
-//!    records and one *task* per frontier node.
-//! 2. **Partitioned-id exploration** (workers): tasks are pushed onto a
-//!    shared queue (a `crossbeam` channel; the vendored stand-in's
-//!    receiver is single-consumer, so it sits behind a `parking_lot`
-//!    mutex) from which worker threads pull dynamically — fast subtrees
-//!    free their worker to steal the next pending frontier node. Each
-//!    task owns a disjoint **id partition**: the worker interns the
-//!    events it discovers into a task-local id table (dense `u32` ids,
+//! Its **merge walk** replays the frontier's pre-order journal
+//! and, at every leaf of the cut, splices in that leaf's newly explored
+//! subtree:
+//!
+//! 1. **One shard.** The calling thread keeps one explorer, moves it from
+//!    leaf to leaf by undoing to the common prefix and applying the
+//!    divergent suffix, and merges every explored node the moment it is
+//!    discovered. No thread is spawned and nothing is buffered.
+//! 2. **More shards: tasks.** Leaves become worker tasks in splice order.
+//!    When the cut has fewer leaves than shards — the root of a fresh run
+//!    is one leaf — the coordinator first expands the leaves
+//!    [`ShardConfig::split_depth`] levels further and hands out the nodes
+//!    it stops at instead.
+//! 3. **Partitioned-id exploration** (workers): workers claim tasks in
+//!    splice order through an atomic cursor, so fast subtrees free their
+//!    worker for the next pending one. Each worker keeps one explorer for
+//!    the whole run, moved between tasks by undo, and interns the events
+//!    it discovers into its own **id partition** (dense `u32` ids,
 //!    meaningful only within that partition), so exploration never
 //!    touches shared state beyond the atomic budget. Workers emit
 //!    pre-order node records in bounded **batches**
-//!    ([`ShardConfig::batch_nodes`]) as they go.
-//! 3. **Streaming merge + renumbering** (coordinator, concurrent with
-//!    the workers): batches are consumed in **splice order** — the exact
-//!    pre-order position of each task's frontier node — as tasks finish,
-//!    instead of buffering every record until exploration ends. Each
-//!    batch's partition table is **renumbered** into the single global
-//!    event space on arrival (one intern per *unique* event per
-//!    partition, not per node), which reproduces the sequential engine's
-//!    event-id assignment exactly; node records then replay through a
-//!    depth-truncated path stack and enter the universe via trusted fast
-//!    paths.
+//!    ([`ShardConfig::batch_nodes`]), each carrying the partition entries
+//!    it introduces.
+//! 4. **Streaming merge + renumbering** (coordinator, concurrent with the
+//!    workers): batches are consumed in **splice order** — the exact
+//!    pre-order position of each task's node — as tasks finish, instead
+//!    of buffering every record until exploration ends. Each batch's
+//!    partition entries are **renumbered** into the single global event
+//!    space on arrival (one intern per *new* event per partition, not per
+//!    node), which reproduces the sequential engine's event-id assignment
+//!    exactly; node records then replay through a depth-truncated path
+//!    stack and enter the universe via trusted fast paths.
 //!
 //! Peak merge memory is bounded by the batches that have *finished but
 //! not yet spliced* (out-of-order completions) plus the batch being
@@ -40,9 +52,7 @@
 //! schedule (one slow early task, many fast later ones) cannot grow the
 //! reorder buffer past the cap; head-task batches throttle against an
 //! equally-sized slot window, so a fast producer cannot pile them into
-//! the result channel ahead of a slow merge either. With one shard
-//! nothing is buffered at all: subtrees are explored lazily at their
-//! splice points.
+//! the result channel ahead of a slow merge either.
 //! [`EnumerationStats`] reports the observed bound
 //! (`peak_buffered_bytes`, `largest_batch_bytes`) and the active merge
 //! time (`merge_wall_ms`).
@@ -76,11 +86,11 @@ use crate::enumerate::{
 use crate::error::CoreError;
 use crate::symmetry::{OrbitDecision, Orbits, QuotientState};
 use crate::universe::{GrowthMap, Universe};
-use crossbeam::channel::{self, Sender};
 use hpl_model::{ActionId, Computation, Event, EventId, EventKind, MessageId, ProcessId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Sharding configuration for [`enumerate_sharded`].
@@ -97,10 +107,13 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Number of worker threads. `1` runs the whole pipeline on the
-    /// calling thread (no threads are spawned, and subtrees are explored
-    /// lazily at their splice points, so nothing is ever buffered).
+    /// calling thread (no threads are spawned, and every explored node
+    /// is merged the moment it is discovered, so nothing is ever
+    /// buffered).
     pub shards: usize,
-    /// Tree depth at which frontier nodes become worker tasks; `None`
+    /// How many levels below the leaf cut the coordinator expands before
+    /// handing subtrees to workers, when the cut has fewer leaves than
+    /// shards (a fresh enumeration's cut is the root alone); `None`
     /// picks a small default. The output is independent of this knob —
     /// it only shapes scheduling granularity.
     pub split_depth: Option<usize>,
@@ -160,6 +173,11 @@ pub const DEFAULT_BATCH_NODES: usize = 32_768;
 /// worst-case reorder buffer stays a few dozen batches (≈ tens of
 /// megabytes at the default batch size) instead of the whole tree.
 pub const DEFAULT_MAX_BUFFERED_BATCHES: usize = 64;
+
+/// Default [`ShardConfig::split_depth`]: deep enough to produce many more
+/// tasks than shards on branchy protocols, shallow enough that the
+/// coordinator's expansion stays negligible.
+const DEFAULT_SPLIT_DEPTH: usize = 3;
 
 impl ShardConfig {
     /// A configuration with `shards` workers and default split depth,
@@ -247,6 +265,18 @@ impl ShardConfig {
         self.quotient = true;
         self
     }
+
+    /// The merge mode this config selects — what a [`Frontier`] must
+    /// have been captured under to be extended with it.
+    fn frontier_mode(&self) -> FrontierMode {
+        if self.quotient {
+            FrontierMode::Quotient
+        } else if self.dedupe {
+            FrontierMode::Dedupe
+        } else {
+            FrontierMode::Exact
+        }
+    }
 }
 
 impl Default for ShardConfig {
@@ -273,7 +303,9 @@ pub struct EnumerationStats {
     /// Computations kept in the universe (equals `explored` without
     /// dedupe or quotient).
     pub unique: usize,
-    /// Frontier tasks distributed to workers.
+    /// Subtrees explored as one unit: the leaf cut's subtrees with one
+    /// shard (a fresh run's cut is the root alone), the tasks handed to
+    /// workers otherwise.
     pub tasks: usize,
     /// Worker threads used.
     pub shards: usize,
@@ -396,6 +428,21 @@ pub struct Frontier {
 }
 
 impl Frontier {
+    /// The depth-0 frontier: the null computation alone, before anything
+    /// is explored. Extending it is a fresh enumeration.
+    fn root(system_size: usize, mode: FrontierMode) -> Self {
+        Frontier {
+            system_size,
+            depth: 0,
+            mode,
+            generation: 0,
+            events: Vec::new(),
+            payloads: HashMap::new(),
+            records: Vec::new(),
+            multiplicities: Vec::new(),
+        }
+    }
+
     /// The horizon (maximum events per computation) the producing run
     /// explored to; extensions must use a horizon at least this deep.
     #[must_use]
@@ -432,11 +479,11 @@ impl Frontier {
     }
 }
 
-/// A partition-local event id: a dense index into one task's id table
-/// ([`EventDef`] list). Partitions are disjoint by construction — a local
-/// id is meaningful only together with its partition, and the streaming
-/// merge renumbers each partition into the global [`EventId`] space at
-/// its splice point.
+/// A partition-local event id: a dense index into one explorer's id
+/// table ([`EventDef`] list). Partitions are disjoint by construction — a
+/// local id is meaningful only together with its partition, and the
+/// streaming merge renumbers each partition into the global [`EventId`]
+/// space as its records are spliced.
 type LocalId = u32;
 
 /// Sentinel for "no previous event on this process".
@@ -465,9 +512,9 @@ struct EventDef {
     kind: DefKind,
 }
 
-/// One protocol step, as recorded in task *paths*: enough to replay the
-/// edge without consulting the protocol again. (`PartialEq` lets the
-/// extension's leaf walker find the common prefix of two paths.)
+/// One protocol step, as recorded in step *paths*: enough to replay the
+/// edge without consulting the protocol again. (`PartialEq` lets
+/// [`Explorer::goto`] find the common prefix of two paths.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum StepDesc {
     /// A spontaneous step by `p`.
@@ -487,27 +534,20 @@ struct NodeRec {
     local: LocalId,
 }
 
-/// Coordinator-side prefix entry: a node of the shallow tree, or a
-/// splice point where a worker task's subtree belongs.
+/// What the merge walks below one leaf of the cut: a node the coordinator
+/// expanded, or the splice point of a worker task's subtree.
 enum Entry {
     Node(NodeRec),
     Task(usize),
 }
 
-/// A frontier subtree for a worker: the step path from the root to the
-/// frontier node (the node itself is recorded by the coordinator).
-#[derive(Debug)]
-struct Task {
-    id: usize,
-    path: Vec<StepDesc>,
-}
-
-/// One streamed unit of worker output: the partition-table entries
-/// discovered since the previous batch of the same task, plus a run of
-/// pre-order node records. `last` marks the task's final batch;
-/// `credited` records whether the producer holds a reorder-buffer
-/// credit for it (released when the merge consumes the batch).
+/// One streamed unit of worker output: the producing worker's partition
+/// entries discovered since its previous batch, plus a run of pre-order
+/// node records of one task. `last` marks the task's final batch;
+/// `credited` records whether the producer holds a reorder-buffer credit
+/// for it (released when the merge consumes the batch).
 struct TaskBatch {
+    worker: usize,
     defs: Vec<EventDef>,
     nodes: Vec<NodeRec>,
     last: bool,
@@ -516,9 +556,14 @@ struct TaskBatch {
 
 impl TaskBatch {
     fn approx_bytes(&self) -> usize {
-        self.defs.len() * std::mem::size_of::<EventDef>()
-            + self.nodes.len() * std::mem::size_of::<NodeRec>()
+        run_bytes(self.defs.len(), self.nodes.len())
     }
+}
+
+/// Approximate size of a run of `defs` partition entries plus `nodes`
+/// node records.
+fn run_bytes(defs: usize, nodes: usize) -> usize {
+    defs * std::mem::size_of::<EventDef>() + nodes * std::mem::size_of::<NodeRec>()
 }
 
 /// Shared exploration budget: one global node counter enforcing
@@ -531,9 +576,10 @@ struct Budget {
 }
 
 impl Budget {
-    fn new(max: usize) -> Self {
+    /// A budget of `max` nodes, `charged` of which are already spent.
+    fn new(max: usize, charged: usize) -> Self {
         Budget {
-            explored: AtomicUsize::new(0),
+            explored: AtomicUsize::new(charged),
             max,
             abort: AtomicBool::new(false),
             first_error: Mutex::new(None),
@@ -582,10 +628,11 @@ impl Budget {
 /// in-flight batches are therefore hard-bounded by `2 ×
 /// max_buffered_batches`, not just the parked side.
 ///
-/// Deadlock-freedom: tasks are queued and pulled in splice order, so
-/// when the merge waits on head task `h`, either a worker is already
-/// producing `h` or `h` is still queued and some worker — having
-/// finished an earlier task — will pull it next; workers blocked on
+/// Deadlock-freedom: tasks are claimed in splice order and a worker
+/// finishes its task before claiming the next, so when the merge waits
+/// on head task `h`, either a worker is producing `h` or `h` is still
+/// unclaimed and every worker is on an earlier task — which it will
+/// finish, then claim `h` or something before it; workers blocked on
 /// parked credits are by definition producing for tasks *after* `h`,
 /// whose batches the merge does not need yet, and a worker blocked on
 /// a head slot implies a full window of `h`-batches already sits in
@@ -715,6 +762,12 @@ struct RecvUndo {
     entry: InFlight,
 }
 
+/// Undo data for one step [`Explorer::goto`] applied.
+enum AppliedUndo {
+    Spont(SpontUndo),
+    Recv(RecvUndo),
+}
+
 /// An in-flight message during exploration, with the local id of its
 /// send event (what a receive's [`DefKind::Recv`] names).
 #[derive(Clone, Copy, Debug)]
@@ -725,22 +778,15 @@ struct InFlight {
     send: LocalId,
 }
 
-/// Buffer accumulating one task's outgoing records between flushes.
-struct BatchBuf {
-    nodes: Vec<NodeRec>,
-    /// Partition-table entries already shipped in earlier batches.
-    defs_sent: usize,
-    limit: usize,
-}
-
 /// Protocol-side depth-first explorer with per-process action caching
 /// and **partition-local event interning**: every event it touches gets
-/// a dense id in the task's own table, allocated at first encounter in
-/// subtree pre-order, with no cross-task coordination.
+/// a dense id in its own table, allocated at first encounter, with no
+/// cross-thread coordination.
 ///
-/// Shared by the coordinator's prefix expansion and the workers' subtree
-/// exploration; global event ids appear only later, when the merge
-/// renumbers each partition at its splice point.
+/// One explorer serves a whole run on its thread — the coordinator's
+/// expansion, a worker's tasks, or the single-shard walk — moved between
+/// splice points by [`Explorer::goto`]. Global event ids appear only
+/// later, when the merge renumbers the partition.
 struct Explorer<'a, P: ?Sized> {
     protocol: &'a P,
     budget: &'a Budget,
@@ -755,6 +801,11 @@ struct Explorer<'a, P: ?Sized> {
     defs: Vec<EventDef>,
     intern: HashMap<(ProcessId, LocalId, DefKind), LocalId>,
     last_local: Vec<LocalId>,
+    /// The steps from the root to the current position, with their undo
+    /// data.
+    applied: Vec<(StepDesc, AppliedUndo)>,
+    /// Explored records not yet handed to the flush callback.
+    pending: Vec<NodeRec>,
 }
 
 impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
@@ -774,6 +825,8 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
             defs: Vec::new(),
             intern: HashMap::new(),
             last_local: vec![NO_EVENT; n],
+            applied: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -871,43 +924,57 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
         self.in_flight.insert(slot, undo.entry);
     }
 
-    /// Replays a task path from the root so subtree exploration starts
-    /// from the frontier node's state (interning the path's events into
-    /// this partition as it goes).
-    fn replay(&mut self, path: &[StepDesc]) {
-        for &desc in path {
-            match desc {
-                StepDesc::Spont { p, action } => {
-                    self.apply_spont(p, action);
+    /// Moves the explorer to the node reached by `target` from the root:
+    /// undoes back to the longest common step prefix with the current
+    /// position, then applies the divergent suffix. Visiting a cut's
+    /// paths in splice order therefore applies and undoes each tree edge
+    /// once in total, and undo restores cached action lists without
+    /// consulting the protocol.
+    fn goto(&mut self, target: &[StepDesc]) {
+        let common = self
+            .applied
+            .iter()
+            .zip(target)
+            .take_while(|(done, step)| done.0 == **step)
+            .count();
+        while self.applied.len() > common {
+            match self.applied.pop().expect("longer than the common prefix") {
+                (StepDesc::Spont { p, action }, AppliedUndo::Spont(u)) => {
+                    self.undo_spont(p, action, u);
                 }
-                StepDesc::Recv { slot } => {
-                    self.apply_recv(slot as usize);
+                (StepDesc::Recv { slot }, AppliedUndo::Recv(u)) => {
+                    self.undo_recv(slot as usize, u);
                 }
+                _ => unreachable!("undo data matches its step kind"),
             }
+        }
+        for &desc in &target[common..] {
+            let undo = match desc {
+                StepDesc::Spont { p, action } => AppliedUndo::Spont(self.apply_spont(p, action).0),
+                StepDesc::Recv { slot } => AppliedUndo::Recv(self.apply_recv(slot as usize).0),
+            };
+            self.applied.push((desc, undo));
         }
     }
 
-    /// Coordinator phase: expand to `split` depth, emitting prefix
-    /// entries and frontier tasks. `path` carries the steps from the
-    /// root to the current node.
+    /// Coordinator expansion: explores from the current node (at `depth`)
+    /// down to `split` depth, emitting merge entries and one task per
+    /// node reached there. `path` carries the steps from the root to the
+    /// current node.
     fn explore_prefix(
         &mut self,
         depth: usize,
         split: usize,
         path: &mut Vec<StepDesc>,
         entries: &mut Vec<Entry>,
-        tasks: &mut Vec<Task>,
+        tasks: &mut Vec<Vec<StepDesc>>,
     ) -> Result<(), ()> {
         if depth >= self.max_events {
             return Ok(());
         }
         if depth == split {
-            let id = tasks.len();
-            tasks.push(Task {
-                id,
-                path: path.clone(),
-            });
-            entries.push(Entry::Task(id));
+            entries.push(Entry::Task(tasks.len()));
+            tasks.push(path.clone());
             return Ok(());
         }
         self.for_each_child(
@@ -926,87 +993,32 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
         )
     }
 
-    /// Worker phase: exhaustively expand the subtree below the current
-    /// node (at `depth`), streaming pre-order records through `sink` in
-    /// batches of at most `batch_nodes`, ending with a `last` batch.
-    fn run_subtree(
+    /// Exhaustively explores the subtree below the current node (at
+    /// `depth`), collecting pre-order records in `pending` and handing
+    /// them to `flush`, with the partition table they refer to, whenever
+    /// `batch_nodes` accumulate. The caller flushes the remainder.
+    fn explore<F: FnMut(&[EventDef], &mut Vec<NodeRec>)>(
         &mut self,
         depth: usize,
         batch_nodes: usize,
-        sink: &mut dyn FnMut(TaskBatch),
-    ) -> Result<(), ()> {
-        let mut buf = BatchBuf {
-            nodes: Vec::new(),
-            defs_sent: 0, // the first batch carries the path's defs too
-            limit: batch_nodes.max(1),
-        };
-        self.explore_subtree(depth, &mut buf, sink)?;
-        self.flush(&mut buf, true, sink);
-        Ok(())
-    }
-
-    /// Ships the pending records (and any partition-table entries they
-    /// may reference) as one batch.
-    fn flush(&mut self, buf: &mut BatchBuf, last: bool, sink: &mut dyn FnMut(TaskBatch)) {
-        let defs = self.defs[buf.defs_sent..].to_vec();
-        buf.defs_sent = self.defs.len();
-        sink(TaskBatch {
-            defs,
-            nodes: std::mem::take(&mut buf.nodes),
-            last,
-            credited: false,
-        });
-    }
-
-    fn explore_subtree(
-        &mut self,
-        depth: usize,
-        buf: &mut BatchBuf,
-        sink: &mut dyn FnMut(TaskBatch),
+        flush: &mut F,
     ) -> Result<(), ()> {
         if depth >= self.max_events {
             return Ok(());
         }
         self.for_each_child(
-            |ex, _desc, local, (buf, sink)| {
+            |ex, _desc, local, flush| {
                 ex.budget.charge()?;
-                buf.nodes.push(NodeRec {
+                ex.pending.push(NodeRec {
                     depth: (depth + 1) as u32,
                     local,
                 });
-                if buf.nodes.len() >= buf.limit {
-                    ex.flush(buf, false, sink);
+                if ex.pending.len() >= batch_nodes {
+                    flush(&ex.defs, &mut ex.pending);
                 }
-                ex.explore_subtree(depth + 1, buf, sink)
+                ex.explore(depth + 1, batch_nodes, flush)
             },
-            &mut (buf, sink),
-        )
-    }
-
-    /// Worker phase for the single-shard extension: exhaustively expand
-    /// the subtree below the current node (at `depth`), handing each
-    /// pre-order record straight to `emit` together with the partition
-    /// table — no [`BatchBuf`], no per-subtree allocation. A sequential
-    /// caller splices records into the merge the moment they are
-    /// discovered; shipping the leaf cut's many tiny subtrees as
-    /// [`TaskBatch`]es would pay two allocations per leaf for batches
-    /// that average a handful of nodes.
-    fn explore_direct(
-        &mut self,
-        depth: usize,
-        emit: &mut dyn FnMut(&[EventDef], u32, LocalId),
-    ) -> Result<(), ()> {
-        if depth >= self.max_events {
-            return Ok(());
-        }
-        let mut emit = emit;
-        self.for_each_child(
-            |ex, _desc, local, emit| {
-                ex.budget.charge()?;
-                (**emit)(&ex.defs, (depth + 1) as u32, local);
-                ex.explore_direct(depth + 1, &mut **emit)
-            },
-            &mut emit,
+            flush,
         )
     }
 
@@ -1060,7 +1072,7 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
 }
 
 /// The deterministic streaming merge: renumbers each id partition into
-/// the single global event space at its splice point and replays node
+/// the single global event space as its records arrive and replays node
 /// records in sequential pre-order through a depth-truncated path stack,
 /// building the universe through the trusted fast path (tree nodes are
 /// unique and valid by construction).
@@ -1095,6 +1107,25 @@ enum MergeMode {
     Quotient(Box<QuotientState>),
 }
 
+impl MergeMode {
+    /// The merge mode a config selects.
+    fn new<P: Protocol + ?Sized>(protocol: &P, config: &ShardConfig) -> Self {
+        match config.frontier_mode() {
+            FrontierMode::Quotient => {
+                let group = protocol.symmetry();
+                let n = protocol.system_size();
+                MergeMode::Quotient(Box::new(QuotientState::new(
+                    group.elements_for(n),
+                    group.generators_for(n),
+                    n,
+                )))
+            }
+            FrontierMode::Dedupe => MergeMode::Dedupe(HashSet::new()),
+            FrontierMode::Exact => MergeMode::Exact,
+        }
+    }
+}
+
 impl Merger {
     fn new(system_size: usize, mode: MergeMode, checkpoint: bool) -> Self {
         Merger {
@@ -1111,7 +1142,7 @@ impl Merger {
     /// space, appending the assigned global ids to the partition's
     /// renumbering `map`. Entries reference only earlier entries of the
     /// same partition, so one forward pass suffices; re-interning an
-    /// event another partition (or the prefix) already discovered
+    /// event another partition (or the replay) already discovered
     /// returns its existing global id.
     fn renumber(&mut self, defs: &[EventDef], map: &mut Vec<EventId>) {
         for def in defs {
@@ -1126,11 +1157,6 @@ impl Merger {
             let e = self.space.intern(def.p, prev, key);
             map.push(e.id());
         }
-    }
-
-    /// The global event bound to `id`.
-    fn event(&self, id: EventId) -> Event {
-        self.space.events[id.index()]
     }
 
     /// Replays one node record: truncates the path stack to the parent
@@ -1165,7 +1191,8 @@ impl Merger {
     /// and canonical keys determine length), so re-deciding would only
     /// re-derive what the frontier already recorded. Quotient mode
     /// re-registers the representative's descriptors and adopts its
-    /// captured multiplicity as final.
+    /// captured multiplicity as final (`1` for the root of a fresh run,
+    /// the only member of its orbit).
     fn adopt_current(&mut self, multiplicity: Option<u64>) {
         if let MergeMode::Quotient(q) = &mut self.mode {
             let payloads = &self.space.payloads;
@@ -1202,15 +1229,18 @@ impl Merger {
         }
     }
 
-    /// Consumes one streamed batch: renumbers its partition-table run,
-    /// then replays its node records.
-    fn consume(&mut self, batch: &TaskBatch, map: &mut Vec<EventId>) {
+    /// Consumes one run of a partition's records: renumbers the
+    /// partition-table entries `defs` that follow those `map` already
+    /// covers, then replays the node records. Entries are allocated in
+    /// first-encounter order, so every entry renumbered here was met at
+    /// or before the run's last node in pre-order.
+    fn consume(&mut self, defs: &[EventDef], nodes: &[NodeRec], map: &mut Vec<EventId>) {
         {
             let _renumber = hpl_telemetry::span("enum.renumber");
-            self.renumber(&batch.defs, map);
+            self.renumber(defs, map);
         }
-        for rec in &batch.nodes {
-            let e = self.event(map[rec.local as usize]);
+        for rec in nodes {
+            let e = self.space.events[map[rec.local as usize].index()];
             self.apply(rec.depth, e);
         }
     }
@@ -1315,9 +1345,8 @@ struct MergeMetrics {
 }
 
 impl MergeMetrics {
-    /// Accounts a batch the moment it is about to be consumed.
-    fn on_consume(&mut self, batch: &TaskBatch) {
-        let bytes = batch.approx_bytes();
+    /// Accounts a batch of `bytes` the moment it is about to be consumed.
+    fn on_consume(&mut self, bytes: usize) {
         self.batches += 1;
         self.largest_batch = self.largest_batch.max(bytes);
         self.peak_buffered = self.peak_buffered.max(self.buffered_now + bytes);
@@ -1341,38 +1370,11 @@ impl MergeMetrics {
     }
 }
 
-/// Walks the prefix entries in splice order, renumbering coordinator
-/// events lazily (in first-encounter order, which is their pre-order)
-/// and delegating each task's batches to `run_task`.
-fn drive_merge(
-    entries: &[Entry],
-    coord_defs: &[EventDef],
-    merger: &mut Merger,
-    metrics: &mut MergeMetrics,
-    mut run_task: impl FnMut(&mut Merger, usize, &mut MergeMetrics) -> Result<(), ()>,
-) -> Result<(), ()> {
-    let mut coord_map: Vec<EventId> = Vec::new();
-    merger.insert_current(); // the root (empty) computation
-    for entry in entries {
-        match *entry {
-            Entry::Node(rec) => {
-                // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
-                let t = Instant::now();
-                let local = rec.local as usize;
-                if local >= coord_map.len() {
-                    debug_assert_eq!(local, coord_map.len(), "prefix defs are pre-ordered");
-                    merger.renumber(&coord_defs[coord_map.len()..=local], &mut coord_map);
-                }
-                let e = merger.event(coord_map[local]);
-                merger.apply(rec.depth, e);
-                metrics.merge_wall += t.elapsed();
-            }
-            Entry::Task(id) => run_task(merger, id, metrics)?,
-        }
-    }
-    Ok(())
-}
-
+/// A worker: claims tasks in splice order until none are left, moving
+/// its one explorer to each task's node and streaming the subtree below
+/// it in batches. Every batch carries the partition entries allocated
+/// since the worker's previous batch, so the merge renumbers each entry
+/// once per worker, not once per task.
 #[allow(clippy::too_many_arguments)] // one call site; a worker is exactly this context
 fn worker_loop<P: Protocol + ?Sized>(
     protocol: &P,
@@ -1380,31 +1382,43 @@ fn worker_loop<P: Protocol + ?Sized>(
     batch_nodes: usize,
     budget: &Budget,
     gate: &ReorderGate,
-    queue: &Mutex<channel::Receiver<Task>>,
-    pending: &AtomicUsize,
+    tasks: &[Vec<StepDesc>],
+    cursor: &AtomicUsize,
+    worker: usize,
     results: &Sender<(usize, TaskBatch)>,
 ) {
+    let mut ex = Explorer::new(protocol, max_events, budget);
+    let mut shipped = 0usize;
     loop {
-        // the queue guard is a statement temporary — dropped at the `;`,
-        // before any enumeration work, and `try_recv` never blocks
-        // analyze:acquire(enum.task_queue) analyze:release(enum.task_queue)
-        let Some(task) = queue.lock().try_recv() else {
+        // `Relaxed` suffices: the task list was built before the workers
+        // started, so claiming an index publishes nothing
+        let id = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(path) = tasks.get(id) else {
             return;
         };
-        // work-queue depth as observed at each pull (telemetry only)
-        let depth = pending.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        hpl_telemetry::record("enum.queue_depth", depth as u64);
+        // tasks still unclaimed as observed at each claim (telemetry only)
+        hpl_telemetry::record("enum.queue_depth", (tasks.len() - id - 1) as u64);
         let _explore = hpl_telemetry::span("enum.explore");
-        let mut ex = Explorer::new(protocol, max_events, budget);
-        ex.replay(&task.path);
-        let done = ex.run_subtree(task.path.len(), batch_nodes, &mut |mut batch| {
+        let mut ship = |defs: &[EventDef], nodes: &mut Vec<NodeRec>, last: bool| {
+            let mut batch = TaskBatch {
+                worker,
+                defs: defs[shipped..].to_vec(),
+                nodes: std::mem::take(nodes),
+                last,
+                credited: false,
+            };
+            shipped = defs.len();
             // the reorder-buffer credit: blocks while the buffer is at
             // capacity and the merge is splicing another task
             // analyze:blocking(enum.gate)
-            batch.credited = gate.admit(task.id);
+            batch.credited = gate.admit(id);
             // the coordinator outlives the workers; a send failure means
             // the run is being torn down
-            let _ = results.send((task.id, batch));
+            let _ = results.send((id, batch));
+        };
+        ex.goto(path);
+        let done = ex.explore(path.len(), batch_nodes, &mut |defs, nodes| {
+            ship(defs, nodes, false);
         });
         if done.is_err() {
             // budget exhausted or sibling failure; the error is recorded.
@@ -1413,26 +1427,28 @@ fn worker_loop<P: Protocol + ?Sized>(
             gate.shutdown();
             return;
         }
+        ship(&ex.defs, &mut ex.pending, true);
     }
 }
 
 /// Splices one task's streamed batches into the merge: pulls from the
 /// reorder buffer first, then the live result channel (parking batches
 /// of other tasks), until the task's `last` batch has been consumed.
-/// Shared by [`enumerate_sharded`] and [`extend_sharded`]; `Err` means
-/// the workers vanished without finishing — a budget abort.
+/// `maps` holds each worker's partition renumbering; a worker's batches
+/// arrive here in the order it produced them (it finishes tasks in
+/// splice order, and the merge consumes them in splice order). `Err`
+/// means the workers vanished without finishing — a budget abort.
 #[allow(clippy::too_many_arguments)] // exactly the merge-side context
 fn consume_task_batches(
     merger: &mut Merger,
     id: usize,
     metrics: &mut MergeMetrics,
     gate: &ReorderGate,
-    res_rx: &channel::Receiver<(usize, TaskBatch)>,
+    res_rx: &Receiver<(usize, TaskBatch)>,
     parked: &mut HashMap<usize, VecDeque<TaskBatch>>,
-    task_map: &mut Vec<EventId>,
+    maps: &mut [Vec<EventId>],
     budget: &Budget,
 ) -> Result<(), ()> {
-    task_map.clear();
     gate.set_head(id);
     loop {
         let batch = match parked.get_mut(&id).and_then(VecDeque::pop_front) {
@@ -1453,19 +1469,18 @@ fn consume_task_batches(
                 }
             },
         };
-        metrics.on_consume(&batch);
+        metrics.on_consume(batch.approx_bytes());
         if batch.credited {
             gate.release();
         } else {
             gate.release_head();
         }
-        let last = batch.last;
         // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
         let t = Instant::now();
         merger.forecast(budget.explored.load(Ordering::Relaxed));
-        merger.consume(&batch, task_map);
+        merger.consume(&batch.defs, &batch.nodes, &mut maps[batch.worker]);
         metrics.merge_wall += t.elapsed();
-        if last {
+        if batch.last {
             return Ok(());
         }
     }
@@ -1473,8 +1488,9 @@ fn consume_task_batches(
 
 /// Enumerates every system computation of `protocol` (depth-bounded, like
 /// [`enumerate`](crate::enumerate::enumerate)) using `config.shards`
-/// worker threads, per-task id partitions and a streaming deterministic
-/// merge.
+/// worker threads, per-worker id partitions and a streaming deterministic
+/// merge. This is [`extend_sharded`]'s code path run on the depth-0
+/// root frontier.
 ///
 /// Without dedupe the result is byte-identical to the sequential engine
 /// for every shard count, split depth and batch size: same computations,
@@ -1519,168 +1535,13 @@ pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     limits: EnumerationLimits,
     config: &ShardConfig,
 ) -> Result<ShardedEnumeration, CoreError> {
-    let shards = config.shards.max(1);
-    let batch_nodes = config.batch_nodes.max(1);
-    // Default split: deep enough to produce many more tasks than shards
-    // on branchy protocols, shallow enough that the prefix phase stays
-    // negligible.
-    let split = config.split_depth.unwrap_or(3).min(limits.max_events);
-    let budget = Budget::new(limits.max_computations);
-
-    // Phase 1: prefix expansion (coordinator partition).
-    let mut entries = Vec::new();
-    let mut tasks = Vec::new();
-    let mut prefix = Explorer::new(protocol, limits.max_events, &budget);
-    let outcome = {
-        let _prefix = hpl_telemetry::span("enum.prefix");
-        budget.charge().and_then(|()| {
-            prefix.explore_prefix(0, split, &mut Vec::new(), &mut entries, &mut tasks)
-        })
-    };
-    let task_count = tasks.len();
-
-    // Phases 2+3, fused: workers explore disjoint id partitions while the
-    // coordinator streams their batches through the merge in splice order.
-    let mut merger = Merger::new(
-        protocol.system_size(),
-        merge_mode(protocol, config),
-        config.checkpoint,
-    );
-    let mut metrics = MergeMetrics::default();
-    if outcome.is_ok() {
-        let mut task_map: Vec<EventId> = Vec::new();
-        if shards == 1 || tasks.is_empty() {
-            // Single-shard: explore each subtree lazily at its splice
-            // point, merging batches the moment they are produced —
-            // nothing is ever buffered.
-            let _merge = hpl_telemetry::span("enum.merge");
-            let _ = drive_merge(
-                &entries,
-                &prefix.defs,
-                &mut merger,
-                &mut metrics,
-                |merger, id, metrics| {
-                    let _explore = hpl_telemetry::span("enum.explore");
-                    let mut ex = Explorer::new(protocol, limits.max_events, &budget);
-                    ex.replay(&tasks[id].path);
-                    task_map.clear();
-                    ex.run_subtree(tasks[id].path.len(), batch_nodes, &mut |batch| {
-                        metrics.on_consume(&batch);
-                        // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
-                        let t = Instant::now();
-                        merger.forecast(budget.explored.load(Ordering::Relaxed));
-                        merger.consume(&batch, &mut task_map);
-                        metrics.merge_wall += t.elapsed();
-                    })
-                },
-            );
-        } else {
-            let (task_tx, task_rx) = channel::unbounded();
-            let pending = AtomicUsize::new(tasks.len());
-            for t in tasks {
-                task_tx.send(t).expect("receiver alive");
-            }
-            drop(task_tx);
-            // the vendored crossbeam stand-in wraps std::sync::mpsc, whose
-            // receiver is single-consumer — the mutex is what makes the
-            // queue multi-consumer (real crossbeam receivers are MPMC and
-            // would not need it)
-            let queue = Mutex::new(task_rx);
-            let gate = ReorderGate::new(config.max_buffered_batches);
-            let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
-            std::thread::scope(|s| {
-                for _ in 0..shards {
-                    let res_tx = res_tx.clone();
-                    let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
-                    s.spawn(move || {
-                        worker_loop(
-                            protocol,
-                            limits.max_events,
-                            batch_nodes,
-                            budget,
-                            gate,
-                            queue,
-                            pending,
-                            &res_tx,
-                        );
-                    });
-                }
-                drop(res_tx);
-                let _merge = hpl_telemetry::span("enum.merge");
-                // Reorder buffer: batches of tasks that finished ahead of
-                // their splice point. This — not the node count — is the
-                // merge's peak memory; every parked batch holds a gate
-                // credit, so it never exceeds `max_buffered_batches`.
-                let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
-                let _ = drive_merge(
-                    &entries,
-                    &prefix.defs,
-                    &mut merger,
-                    &mut metrics,
-                    |merger, id, metrics| {
-                        consume_task_batches(
-                            merger,
-                            id,
-                            metrics,
-                            &gate,
-                            &res_rx,
-                            &mut parked,
-                            &mut task_map,
-                            &budget,
-                        )
-                    },
-                );
-                // teardown: wake any worker still blocked on a credit
-                // (normal completion leaves none; abort paths may)
-                gate.shutdown();
-            });
-        }
-    }
-
-    let explored = budget.explored.load(Ordering::Relaxed).min(budget.max);
-    if let Some(e) = budget.into_error() {
-        return Err(e);
-    }
-
-    let unique = merger.universe.len();
-    let (universe, orbits, frontier) = merger.finish(limits.max_events);
-    Ok(ShardedEnumeration {
-        universe,
-        stats: EnumerationStats {
-            explored,
-            resumed: 0,
-            unique,
-            tasks: task_count,
-            shards,
-            group_order: orbits.as_ref().map_or(1, Orbits::group_order),
-            batches: metrics.batches,
-            merge_wall_ms: metrics.merge_wall.as_secs_f64() * 1e3,
-            peak_buffered_bytes: metrics.peak_buffered,
-            largest_batch_bytes: metrics.largest_batch,
-        },
-        orbits,
-        frontier,
-        growth: None,
-    })
-}
-
-/// The merge mode a config selects (shared by [`enumerate_sharded`] and
-/// [`extend_sharded`] so the two cannot drift).
-fn merge_mode<P: Protocol + ?Sized>(protocol: &P, config: &ShardConfig) -> MergeMode {
-    if config.quotient {
-        let group = protocol.symmetry();
-        let elements = group.elements_for(protocol.system_size());
-        let generators = group.generators_for(protocol.system_size());
-        MergeMode::Quotient(Box::new(QuotientState::new(
-            elements,
-            generators,
-            protocol.system_size(),
-        )))
-    } else if config.dedupe {
-        MergeMode::Dedupe(HashSet::new())
-    } else {
-        MergeMode::Exact
-    }
+    let root = Frontier::root(protocol.system_size(), config.frontier_mode());
+    let mut out = grow(protocol, &root, limits, config)?;
+    // the root is explored, not resumed: a fresh run has no source
+    // universe to report growth from
+    out.stats.resumed = 0;
+    out.growth = None;
+    Ok(out)
 }
 
 /// Re-interns a frontier's events into a fresh global event space during
@@ -1810,12 +1671,13 @@ fn steps_of(frontier: &Frontier, path: &[u32]) -> Vec<StepDesc> {
     steps
 }
 
-/// Replays a frontier's journal through the merger — re-adopting kept
-/// representatives, re-interning events in their original order and
-/// collecting the [`GrowthMap`] — and invokes `run_leaf` at every
-/// depth-`d` node so new exploration splices in at exactly the pre-order
-/// position a from-scratch run would reach it.
-fn drive_extend(
+/// The merge walk: replays a frontier's journal through the merger —
+/// re-adopting kept representatives, re-interning events in their
+/// original order and collecting the [`GrowthMap`] — and invokes
+/// `run_leaf` at every depth-`d` node (the root itself when `d = 0`), so
+/// new exploration splices in at exactly the pre-order position a
+/// from-scratch run would reach it.
+fn walk_frontier(
     frontier: &Frontier,
     merger: &mut Merger,
     metrics: &mut MergeMetrics,
@@ -1856,62 +1718,58 @@ fn drive_extend(
     Ok(())
 }
 
-/// Undo data for one step applied by the extension's leaf walker.
-enum AppliedUndo {
-    Spont(SpontUndo),
-    Recv(RecvUndo),
+/// The multi-shard work list: worker tasks in splice order, and what the
+/// merge walks at each leaf of the cut.
+struct Plan {
+    /// Step paths (from the root) of the worker tasks, in splice order.
+    tasks: Vec<Vec<StepDesc>>,
+    /// The coordinator-expanded nodes and task splice points, leaf by
+    /// leaf in pre-order.
+    entries: Vec<Entry>,
+    /// `entries[starts[i]..starts[i + 1]]` lies below leaf `i`.
+    starts: Vec<usize>,
+    /// The coordinator's id partition (its expanded nodes' events).
+    defs: Vec<EventDef>,
 }
 
-/// Single-shard leaf navigation: one persistent [`Explorer`] serves
-/// every leaf subtree, repositioned between consecutive leaves by
-/// undoing to the longest common step prefix and applying the divergent
-/// suffix — the total navigation cost over all leaves is the size of
-/// the frontier *tree* (each edge applied/undone once), not
-/// `leaves × depth`, and undo restores cached action lists without
-/// consulting the protocol at all.
-struct LeafWalker<'a, P: ?Sized> {
-    ex: Explorer<'a, P>,
-    applied: Vec<(StepDesc, AppliedUndo)>,
-}
-
-impl<'a, P: Protocol + ?Sized> LeafWalker<'a, P> {
-    fn new(protocol: &'a P, max_events: usize, budget: &'a Budget) -> Self {
-        LeafWalker {
-            ex: Explorer::new(protocol, max_events, budget),
-            applied: Vec::new(),
+impl Plan {
+    /// Turns the leaf cut into worker tasks: one per leaf when there are
+    /// at least `shards` leaves, otherwise the tasks `split` levels below
+    /// each leaf, with the nodes passed on the way explored (and charged)
+    /// by the coordinator. `Err` is a budget abort during the expansion.
+    fn new<P: Protocol + ?Sized>(
+        protocol: &P,
+        leaves: Vec<Vec<StepDesc>>,
+        max_events: usize,
+        shards: usize,
+        split: usize,
+        budget: &Budget,
+    ) -> Result<Plan, ()> {
+        let n = leaves.len();
+        if n >= shards {
+            return Ok(Plan {
+                tasks: leaves,
+                entries: (0..n).map(Entry::Task).collect(),
+                starts: (0..=n).collect(),
+                defs: Vec::new(),
+            });
         }
-    }
-
-    /// Repositions the explorer at the node reached by `target` from the
-    /// root.
-    fn goto(&mut self, target: &[StepDesc]) {
-        let common = self
-            .applied
-            .iter()
-            .zip(target)
-            .take_while(|(pair, step)| pair.0 == **step)
-            .count();
-        while self.applied.len() > common {
-            let (desc, undo) = self.applied.pop().expect("walker stack non-empty");
-            match (desc, undo) {
-                (StepDesc::Spont { p, action }, AppliedUndo::Spont(u)) => {
-                    self.ex.undo_spont(p, action, u);
-                }
-                (StepDesc::Recv { slot }, AppliedUndo::Recv(u)) => {
-                    self.ex.undo_recv(slot as usize, u);
-                }
-                _ => unreachable!("undo data matches its step kind"),
-            }
+        let _prefix = hpl_telemetry::span("enum.prefix");
+        let mut ex = Explorer::new(protocol, max_events, budget);
+        let (mut tasks, mut entries, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+        for mut path in leaves {
+            starts.push(entries.len());
+            ex.goto(&path);
+            let depth = path.len();
+            ex.explore_prefix(depth, depth + split, &mut path, &mut entries, &mut tasks)?;
         }
-        for &desc in &target[common..] {
-            let undo = match desc {
-                StepDesc::Spont { p, action } => {
-                    AppliedUndo::Spont(self.ex.apply_spont(p, action).0)
-                }
-                StepDesc::Recv { slot } => AppliedUndo::Recv(self.ex.apply_recv(slot as usize).0),
-            };
-            self.applied.push((desc, undo));
-        }
+        starts.push(entries.len());
+        Ok(Plan {
+            tasks,
+            entries,
+            starts,
+            defs: ex.defs,
+        })
     }
 }
 
@@ -1995,13 +1853,7 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             protocol.system_size()
         )));
     }
-    let mode_wanted = if config.quotient {
-        FrontierMode::Quotient
-    } else if config.dedupe {
-        FrontierMode::Dedupe
-    } else {
-        FrontierMode::Exact
-    };
+    let mode_wanted = config.frontier_mode();
     if frontier.mode != mode_wanted {
         return Err(mismatch(format!(
             "frontier was captured in {:?} mode, the extension is configured for {:?}",
@@ -2014,90 +1866,93 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             limits.max_events, frontier.depth
         )));
     }
+    hpl_telemetry::counter_add("enum.extend.resumed", frontier.resumed_nodes() as u64);
+    hpl_telemetry::counter_add("enum.extend.leaves", frontier.leaf_count() as u64);
+    grow(protocol, frontier, limits, config)
+}
+
+/// The one enumeration path: walks `frontier`'s journal and splices the
+/// subtree below every leaf of its cut into the merge, explored on the
+/// calling thread (one shard) or by the worker pool.
+fn grow<P: Protocol + Sync + ?Sized>(
+    protocol: &P,
+    frontier: &Frontier,
+    limits: EnumerationLimits,
+    config: &ShardConfig,
+) -> Result<ShardedEnumeration, CoreError> {
+    // the replayed tree is pre-charged: a from-scratch run counts every
+    // one of these nodes (the root included), so `explored` stays
+    // comparable
     let resumed = frontier.resumed_nodes();
     if resumed > limits.max_computations {
         return Err(CoreError::EnumerationBudgetExceeded {
             max_computations: limits.max_computations,
         });
     }
-
     let shards = config.shards.max(1);
     let batch_nodes = config.batch_nodes.max(1);
-    let budget = Budget::new(limits.max_computations);
-    // the replayed tree is pre-charged: a from-scratch run counts every
-    // one of these nodes, so `explored` stays comparable
-    budget.explored.store(resumed, Ordering::Relaxed);
-    hpl_telemetry::counter_add("enum.extend.resumed", resumed as u64);
-
+    let budget = Budget::new(limits.max_computations, resumed);
     let mut merger = Merger::new(
         protocol.system_size(),
-        merge_mode(protocol, config),
+        MergeMode::new(protocol, config),
         config.checkpoint,
     );
     let mut metrics = MergeMetrics::default();
     let mut growth: Vec<u32> = Vec::new();
-    let leaf_paths = leaf_step_paths(frontier);
-    hpl_telemetry::counter_add("enum.extend.leaves", leaf_paths.len() as u64);
+    let leaves = leaf_step_paths(frontier);
+    let mut tasks = leaves.len();
 
-    if shards == 1 || leaf_paths.len() <= 1 {
-        // Single-shard: one persistent explorer serves every leaf at its
-        // splice point (repositioned via undo, not root replay), one id
-        // partition covers the whole extension, and explored records
-        // splice into the merge the moment they are discovered — the
-        // leaf cut has one subtree per leaf, so routing them through
-        // `TaskBatch` would allocate twice per (tiny) batch. Explore and
-        // merge are fused here, so `merge_wall` covers only the replayed
-        // prefix.
-        let mut walker = LeafWalker::new(protocol, limits.max_events, &budget);
-        let mut task_map: Vec<EventId> = Vec::new();
+    if shards == 1 {
+        // One explorer walks the cut in splice order on this thread, and
+        // each run of records it collects is merged in place — a worker
+        // whose batches never leave the thread, so nothing is buffered
+        // beyond one run. Its single partition's renumbering `map` covers
+        // exactly the entries merged so far.
+        let mut ex = Explorer::new(protocol, limits.max_events, &budget);
+        let mut map: Vec<EventId> = Vec::new();
         let _merge = hpl_telemetry::span("enum.merge");
-        let _ = drive_extend(
+        let _ = walk_frontier(
             frontier,
             &mut merger,
             &mut metrics,
             &mut growth,
-            |merger, leaf, _metrics| {
+            |merger, leaf, metrics| {
                 let _explore = hpl_telemetry::span("enum.explore");
-                walker.goto(&leaf_paths[leaf]);
-                let depth = leaf_paths[leaf].len();
-                merger.forecast(budget.explored.load(Ordering::Relaxed));
-                let mut emit = |defs: &[EventDef], d: u32, local: LocalId| {
-                    let local = local as usize;
-                    if local >= task_map.len() {
-                        merger.renumber(&defs[task_map.len()..=local], &mut task_map);
-                    }
-                    let e = merger.event(task_map[local]);
-                    merger.apply(d, e);
+                let mut merge_run = |defs: &[EventDef], nodes: &mut Vec<NodeRec>| {
+                    metrics.on_consume(run_bytes(defs.len() - map.len(), nodes.len()));
+                    // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
+                    let t = Instant::now();
+                    merger.forecast(budget.explored.load(Ordering::Relaxed));
+                    merger.consume(&defs[map.len()..], nodes, &mut map);
+                    metrics.merge_wall += t.elapsed();
+                    nodes.clear();
                 };
-                walker.ex.explore_direct(depth, &mut emit)
+                ex.goto(&leaves[leaf]);
+                ex.explore(leaves[leaf].len(), batch_nodes, &mut merge_run)?;
+                merge_run(&ex.defs, &mut ex.pending);
+                Ok(())
             },
         );
-    } else {
-        // Multi-shard: one task per leaf, pushed in splice order; the
-        // stock worker pool explores them (replaying each leaf path in
-        // parallel) while the merge interleaves replayed old records
-        // with each task's streamed batches.
-        let tasks: Vec<Task> = leaf_paths
-            .iter()
-            .enumerate()
-            .map(|(id, path)| Task {
-                id,
-                path: path.clone(),
-            })
-            .collect();
-        let (task_tx, task_rx) = channel::unbounded();
-        let pending = AtomicUsize::new(tasks.len());
-        for t in tasks {
-            task_tx.send(t).expect("receiver alive");
-        }
-        drop(task_tx);
-        let queue = Mutex::new(task_rx);
+    } else if let Ok(plan) = Plan::new(
+        protocol,
+        leaves,
+        limits.max_events,
+        shards,
+        config.split_depth.unwrap_or(DEFAULT_SPLIT_DEPTH),
+        &budget,
+    ) {
+        // Workers explore the tasks while this thread walks the cut,
+        // merging the coordinator's nodes and splicing each task's
+        // batches at its position.
+        tasks = plan.tasks.len();
+        let workers = shards.min(tasks);
+        let cursor = AtomicUsize::new(0);
         let gate = ReorderGate::new(config.max_buffered_batches);
-        let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
+        let (res_tx, res_rx) = channel::<(usize, TaskBatch)>();
         std::thread::scope(|s| {
-            for _ in 0..shards {
+            for worker in 0..workers {
                 let res_tx = res_tx.clone();
-                let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
+                let (tasks, budget, gate, cursor) = (&plan.tasks, &budget, &gate, &cursor);
                 s.spawn(move || {
                     worker_loop(
                         protocol,
@@ -2105,35 +1960,57 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
                         batch_nodes,
                         budget,
                         gate,
-                        queue,
-                        pending,
+                        tasks,
+                        cursor,
+                        worker,
                         &res_tx,
                     );
                 });
             }
             drop(res_tx);
             let _merge = hpl_telemetry::span("enum.merge");
+            // Reorder buffer: batches of tasks that finished ahead of
+            // their splice point. This — not the node count — is the
+            // merge's peak memory; every parked batch holds a gate
+            // credit, so it never exceeds `max_buffered_batches`.
             let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
-            let mut task_map: Vec<EventId> = Vec::new();
-            let _ = drive_extend(
+            let mut maps: Vec<Vec<EventId>> = vec![Vec::new(); workers];
+            let mut coord_map: Vec<EventId> = Vec::new();
+            let _ = walk_frontier(
                 frontier,
                 &mut merger,
                 &mut metrics,
                 &mut growth,
                 |merger, leaf, metrics| {
-                    consume_task_batches(
-                        merger,
-                        leaf,
-                        metrics,
-                        &gate,
-                        &res_rx,
-                        &mut parked,
-                        &mut task_map,
-                        &budget,
-                    )
+                    for entry in &plan.entries[plan.starts[leaf]..plan.starts[leaf + 1]] {
+                        match *entry {
+                            Entry::Node(rec) => {
+                                // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
+                                let t = Instant::now();
+                                // renumber the coordinator's entries up to
+                                // this node's edge event on first sight
+                                let seen = coord_map.len();
+                                let upto = (rec.local as usize + 1).max(seen);
+                                merger.consume(&plan.defs[seen..upto], &[rec], &mut coord_map);
+                                metrics.merge_wall += t.elapsed();
+                            }
+                            Entry::Task(id) => consume_task_batches(
+                                merger,
+                                id,
+                                metrics,
+                                &gate,
+                                &res_rx,
+                                &mut parked,
+                                &mut maps,
+                                &budget,
+                            )?,
+                        }
+                    }
+                    Ok(())
                 },
             );
             // teardown: wake any worker still blocked on a credit
+            // (normal completion leaves none; abort paths may)
             gate.shutdown();
         });
     }
@@ -2144,7 +2021,6 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
     }
 
     let unique = merger.universe.len();
-    let leaves = leaf_paths.len();
     let (universe, orbits, new_frontier) = merger.finish(limits.max_events);
     let growth_map = GrowthMap::new(
         frontier.generation,
@@ -2157,7 +2033,7 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             explored,
             resumed,
             unique,
-            tasks: leaves,
+            tasks,
             shards,
             group_order: orbits.as_ref().map_or(1, Orbits::group_order),
             batches: metrics.batches,
@@ -2518,13 +2394,16 @@ mod tests {
             self.n
         }
         fn actions(&self, _p: ProcessId, view: &LocalView) -> Vec<ProtoAction> {
-            // the first worker-thread call stalls: tasks are pulled in
-            // splice order, so with high probability this is the worker
-            // replaying task 0 — the exact schedule that used to grow
-            // the reorder buffer without bound. (The *assertions* below
-            // are schedule-independent; the stall only makes the
-            // adversarial case the one actually exercised.)
+            // the first worker-thread call past the root stalls: tasks
+            // are claimed in splice order and each worker first moves
+            // its explorer to its task's node, so with high probability
+            // this is the worker on task 0 — the exact schedule that
+            // used to grow the reorder buffer without bound. (The
+            // *assertions* below are schedule-independent; the stall
+            // only makes the adversarial case the one actually
+            // exercised.)
             if std::thread::current().id() != self.main
+                && !view.is_empty()
                 && !self.stalled.swap(true, Ordering::Relaxed)
             {
                 std::thread::sleep(Duration::from_millis(40));

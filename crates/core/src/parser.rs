@@ -29,6 +29,11 @@
 //! property-tested below.
 //!
 //! Comments (`#` to end of line) and whitespace are ignored.
+//!
+//! Operators may nest at most 256 deep — counting prefix
+//! operators, parentheses and chained binary operators alike — so a
+//! hostile input cannot exhaust the parser's stack (or that of any later
+//! recursive pass over the formula); deeper input is a [`ParseError`].
 
 use crate::formula::{Formula, Interpretation};
 use hpl_model::ProcessSet;
@@ -52,16 +57,21 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// How deeply operators may nest in a parsed formula (the module docs
+/// quote this number).
+const MAX_NESTING: usize = 256;
+
 /// Parses a formula, resolving atom names through `interp`.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first syntax problem or
-/// unknown atom.
+/// unknown atom, or input nested more than 256 operators deep.
 pub fn parse(input: &str, interp: &Interpretation) -> Result<Formula, ParseError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
         interp,
     };
     parser.skip_ws();
@@ -76,6 +86,8 @@ pub fn parse(input: &str, interp: &Interpretation) -> Result<Formula, ParseError
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Operators open around the current position.
+    depth: usize,
     interp: &'a Interpretation,
 }
 
@@ -85,6 +97,21 @@ impl Parser<'_> {
             position: self.pos,
             message: message.to_owned(),
         }
+    }
+
+    /// Opens one more level of nesting, or fails past [`MAX_NESTING`].
+    /// Every caller closes its levels with [`Parser::leave`] on success;
+    /// an error ends the parse, so failing paths need not.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err("formula nested too deeply"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self, levels: usize) {
+        self.depth -= levels;
     }
 
     fn skip_ws(&mut self) {
@@ -136,12 +163,18 @@ impl Parser<'_> {
         Some(w)
     }
 
+    // A left-associative chain nests one level deeper per operator, so
+    // each chain holds its levels open until it ends.
     fn iff(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.implies()?;
+        let mut levels = 0;
         while self.eat("<->") || self.eat("\u{21d4}") {
+            self.enter()?;
+            levels += 1;
             let rhs = self.implies()?;
             lhs = lhs.iff(rhs);
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
@@ -149,7 +182,9 @@ impl Parser<'_> {
         let lhs = self.or()?;
         // right associative: a -> b -> c = a -> (b -> c)
         if self.eat("->") || self.eat("\u{21d2}") {
+            self.enter()?;
             let rhs = self.implies()?;
+            self.leave(1);
             return Ok(lhs.implies(rhs));
         }
         Ok(lhs)
@@ -157,13 +192,17 @@ impl Parser<'_> {
 
     fn or(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.and()?;
+        let mut levels = 0;
         loop {
             self.skip_ws();
             // careful: "|" but not part of "||" nonsense — single | only
             if self.eat("|") || self.eat("\u{2228}") {
+                self.enter()?;
+                levels += 1;
                 let rhs = self.and()?;
                 lhs = lhs.or(rhs);
             } else {
+                self.leave(levels);
                 return Ok(lhs);
             }
         }
@@ -171,23 +210,32 @@ impl Parser<'_> {
 
     fn and(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.unary()?;
+        let mut levels = 0;
         while self.eat("&") || self.eat("\u{2227}") {
+            self.enter()?;
+            levels += 1;
             let rhs = self.unary()?;
             lhs = lhs.and(rhs);
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Formula, ParseError> {
         self.skip_ws();
         if self.eat("!") || self.eat("\u{00ac}") {
-            return Ok(self.unary()?.not());
+            self.enter()?;
+            let f = self.unary()?.not();
+            self.leave(1);
+            return Ok(f);
         }
         if self.eat("(") {
+            self.enter()?;
             let f = self.iff()?;
             if !self.eat(")") {
                 return Err(self.err("expected ')'"));
             }
+            self.leave(1);
             return Ok(f);
         }
         let Some(word) = self.peek_word() else {
@@ -205,20 +253,25 @@ impl Parser<'_> {
             "K" | "Sure" => {
                 let op = self.take_word().expect("peeked");
                 let set = self.procset()?;
+                self.enter()?;
                 let inner = self.unary()?;
+                self.leave(1);
                 Ok(if op == "K" {
                     Formula::knows(set, inner)
                 } else {
                     Formula::sure(set, inner)
                 })
             }
-            "E" => {
-                self.take_word();
-                Ok(Formula::everyone(self.unary()?))
-            }
-            "C" => {
-                self.take_word();
-                Ok(Formula::common(self.unary()?))
+            "E" | "C" => {
+                let op = self.take_word().expect("peeked");
+                self.enter()?;
+                let inner = self.unary()?;
+                self.leave(1);
+                Ok(if op == "E" {
+                    Formula::everyone(inner)
+                } else {
+                    Formula::common(inner)
+                })
             }
             _ => {
                 let name = self.take_word().expect("peeked");
@@ -423,6 +476,28 @@ mod tests {
             ),
             _ => Formula::everyone(Formula::common(sub(seed))),
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // runs on the test harness's default-size thread stack: input far
+        // deeper than the bound must come back as an error, not abort
+        let i = interp();
+        let deep = 100_000;
+        for open in ["!", "("] {
+            let text = format!("{}true", open.repeat(deep));
+            let err = parse(&text, &i).expect_err("nested too deeply");
+            assert!(err.message.contains("nested too deeply"), "{open}: {err}");
+        }
+        let chain = vec!["alpha"; deep].join(" & ");
+        assert!(parse(&chain, &i).is_err(), "a chain nests per operator");
+        // up to the bound, nesting parses
+        let ok = format!("{}K{{p0}} alpha{}", "!(".repeat(100), ")".repeat(100));
+        assert!(parse(&ok, &i).is_ok());
+        let at_bound = format!("{}true", "!".repeat(MAX_NESTING));
+        assert!(parse(&at_bound, &i).is_ok());
+        let past_bound = format!("{}true", "!".repeat(MAX_NESTING + 1));
+        assert!(parse(&past_bound, &i).is_err());
     }
 
     #[test]

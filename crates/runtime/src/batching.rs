@@ -14,11 +14,11 @@
 //! that differ only by constant clutter (`φ ∧ true` vs `φ`) coalesce
 //! too.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpl_core::Formula;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// The outcome of admitting a request.
 #[derive(Debug)]
@@ -67,7 +67,7 @@ impl<T: Clone> Admission<T> {
         let mut inflight = self.inflight.lock();
         match inflight.entry((generation, f.clone())) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 e.get_mut().push(tx);
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
                 Ticket::Follower(rx)

@@ -2,7 +2,7 @@
 //!
 //! Two runtime shapes live here:
 //!
-//! 1. A small message-passing runtime over OS threads and crossbeam
+//! 1. A small message-passing runtime over OS threads and standard
 //!    channels whose every execution is captured as a validated
 //!    [`hpl_model::Computation`]. It demonstrates that the calculus of
 //!    *How Processes Learn* applies to genuine concurrent
@@ -65,9 +65,9 @@ pub use planner::{execute, fold, plan, PlanStats, PlanStep, QueryPlan, SubtreeMo
 pub use service::{QueryError, QueryService, Snapshot};
 pub use session::{QueryResponse, Session};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use hpl_model::{ActionId, Computation, Event, EventId, EventKind, MessageId, ProcessId};
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -227,7 +227,7 @@ impl Runtime {
         let mut senders = Vec::with_capacity(self.n);
         let mut receivers = Vec::with_capacity(self.n);
         for _ in 0..self.n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

@@ -23,7 +23,6 @@
 use crate::batching::Admission;
 use crate::planner::{self, QueryPlan};
 use crate::session::Session;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpl_core::isomorphism::ClassCache;
 use hpl_core::{
     eval_propositional, CompSet, CoreError, Evaluator, Formula, GrowthMap, Interpretation, Orbits,
@@ -33,6 +32,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -291,7 +291,7 @@ impl QueryService {
     /// Starts a service with `workers` pool threads (at least one).
     #[must_use]
     pub fn start(workers: usize) -> Self {
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..workers.max(1))
             .map(|i| {
@@ -603,7 +603,7 @@ impl Drop for QueryService {
 }
 
 /// Pool worker: pull a job, evaluate it against its snapshot, reply.
-/// The shared receiver sits behind a mutex (the vendored channel is
+/// The shared receiver sits behind a mutex (`std::sync::mpsc` is
 /// single-consumer); evaluation itself runs outside the lock.
 fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>) {
     // per-worker busy-time counter (utilization = busy / wall), plus

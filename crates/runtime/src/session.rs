@@ -11,8 +11,8 @@
 use crate::batching::Ticket;
 use crate::planner::PlanStats;
 use crate::service::{Job, JobSlot, Outcome, QueryError, Snapshot};
-use crossbeam::channel::unbounded;
 use hpl_core::{parse, CompSet, Formula};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -187,7 +187,7 @@ impl Session {
     /// session — so a dropped service means an empty slot here (fail
     /// fast), not a channel held open past the pool's shutdown.
     fn submit(&self, plan: &crate::planner::QueryPlan) -> Outcome {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let sent = {
             // analyze:acquire(service.job_slot)
             let guard = self.jobs.lock();

@@ -1,6 +1,6 @@
 //! Real threads, analysed with the paper's machinery.
 //!
-//! Runs a relay over OS threads (crossbeam channels), records the live
+//! Runs a relay over OS threads (standard channels), records the live
 //! interleaving as a validated computation, and then applies the
 //! calculus: process-chain detection (Theorem 1 dichotomy) and the
 //! Theorem-5 observation that the last process can only "know" the
